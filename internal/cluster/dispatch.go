@@ -893,33 +893,23 @@ func (c *Coordinator) finishJob(qj *QueuedJob, j *cjob, status string, cause err
 	if len(result) == 0 {
 		result = nil
 	}
-	j.mu.Lock()
-	j.status = status
-	j.errMsg = errMsg
-	j.err = cause
-	j.result = result
+	// Close and merge the timeline (the expensive part), then count and
+	// log the transition, and only then publish it: a client that sees the
+	// terminal status finds the job.terminal event logged. The journal
+	// append (a group-commit fsync) comes after the publish, so it does
+	// not delay the status a client sees.
 	var stages StageSeconds
 	var doc []byte
+	j.mu.Lock()
 	if j.trace != nil {
 		j.trace.finalize(c.now(), status)
-		j.stages = j.trace.stageSeconds()
-		j.traceDoc = j.trace.merged(workerID, workerTrace)
-		stages, doc = j.stages, j.traceDoc
+		stages = j.trace.stageSeconds()
+		doc = j.trace.merged(workerID, workerTrace)
 	}
 	prio := j.priority.String()
 	j.mu.Unlock()
-	if status == "done" && result != nil {
-		c.mu.Lock()
-		if _, ok := c.byDigest[j.digest]; !ok {
-			c.byDigest[j.digest] = j
-		}
-		c.mu.Unlock()
-	}
 	c.metrics.CounterVec("wavepimctl.jobs", "status").With(status).Inc()
 	c.observeStages(prio, status, stages)
-	c.journalAppend(JournalRecord{T: JournalTerminal, ID: j.id, Status: status,
-		Error: errMsg, Result: result,
-		Stages: &stages, Trace: doc, TraceDigest: traceDigestHex(doc)})
 	lv := eventlog.Info
 	if status == "failed" {
 		lv = eventlog.Error
@@ -935,6 +925,29 @@ func (c *Coordinator) finishJob(qj *QueuedJob, j *cjob, status string, cause err
 		c.flight.Dump("retries-exhausted", j.id).WriteJSON(c.flightW)
 		c.flightMu.Unlock()
 	}
+	// Publish the terminal state and the content-cache entry in one
+	// critical section: a client that sees "done" and at once resubmits
+	// the same content must hit byDigest. c.mu before j.mu, the order
+	// Submit and evictLocked use.
+	c.mu.Lock()
+	j.mu.Lock()
+	j.status = status
+	j.errMsg = errMsg
+	j.err = cause
+	j.result = result
+	if j.trace != nil {
+		j.stages, j.traceDoc = stages, doc
+	}
+	j.mu.Unlock()
+	if status == "done" && result != nil {
+		if _, ok := c.byDigest[j.digest]; !ok {
+			c.byDigest[j.digest] = j
+		}
+	}
+	c.mu.Unlock()
+	c.journalAppend(JournalRecord{T: JournalTerminal, ID: j.id, Status: status,
+		Error: errMsg, Result: result,
+		Stages: &stages, Trace: doc, TraceDigest: traceDigestHex(doc)})
 	c.adm.Done(qj.Tenant)
 }
 

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -386,5 +388,84 @@ func TestReplayRestoresAndRequeues(t *testing.T) {
 	}
 	if jv.id != "j0008" {
 		t.Fatalf("auto id %q collided with replay space", jv.id)
+	}
+}
+
+// TestRepeatAfterDoneHitsCache: a client that resubmits a job's exact
+// content the instant it observes "done" is served from the content
+// cache, every time. The terminal status and the cache entry are
+// published together, so there is no window in which a job reads done
+// but its digest still misses. A concurrent job-table reader keeps c.mu
+// contended, as a dashboard polling GET /v1/jobs would.
+func TestRepeatAfterDoneHitsCache(t *testing.T) {
+	fw := newFakeWorker(t)
+	c := NewCoordinator(CoordinatorOptions{
+		Dispatchers: 4, PollInterval: time.Millisecond, TTL: time.Minute,
+		BackoffBase: time.Millisecond,
+	})
+	t.Cleanup(c.Close)
+	fw.register(c, "w1")
+
+	stop := make(chan struct{})
+	var listers sync.WaitGroup
+	listers.Add(1)
+	go func() {
+		defer listers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Jobs()
+			}
+		}
+	}()
+
+	const clients, perClient = 4, 40
+	var wg sync.WaitGroup
+	var misses atomic.Int64
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				spec := JobSpec{ID: fmt.Sprintf("orig-%d-%d", cl, i), Equation: "acoustic",
+					Steps: 1 + cl*perClient + i}
+				j, _, err := c.Submit(spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					j.mu.Lock()
+					st := j.status
+					j.mu.Unlock()
+					if st == "done" {
+						break
+					}
+					if st == "failed" {
+						t.Errorf("job %s failed: %v", spec.ID, j.Err())
+						return
+					}
+					runtime.Gosched()
+				}
+				spec.ID = fmt.Sprintf("repeat-%d-%d", cl, i)
+				r, _, err := c.Submit(spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v := r.view(); !v.Cached || v.Status != "done" {
+					misses.Add(1)
+					t.Errorf("repeat %s of a done job missed the cache: %+v", spec.ID, v)
+				}
+			}
+		}(cl)
+	}
+	wg.Wait()
+	close(stop)
+	listers.Wait()
+	if n := misses.Load(); n != 0 {
+		t.Fatalf("%d of %d immediate repeats missed the content cache", n, clients*perClient)
 	}
 }

@@ -26,15 +26,17 @@ type Transfer struct {
 }
 
 // Topology routes transfers between leaf blocks. Beyond the path view
-// (Path), implementations expose a channel view — SwitchCount, Radix, and
-// EgressHops — that the scheduler's occupancy ledger and the topology-sweep
-// reports are built on.
+// (AppendPath), implementations expose a channel view — SwitchCount,
+// Radix, and EgressHops — that the scheduler's occupancy ledger and the
+// topology-sweep reports are built on.
 type Topology interface {
 	// Name returns the wire name of the topology (one of Names()).
 	Name() string
-	// Path returns the switch IDs a src->dst transfer traverses, in order.
-	// An empty path means src == dst (no interconnect involvement).
-	Path(src, dst int) []int
+	// AppendPath appends the switch IDs a src->dst transfer traverses, in
+	// order, to buf and returns the extended slice. Nothing is appended
+	// when src == dst (no interconnect involvement). Passing a reused
+	// buf[:0] routes without allocating; callers that do not care pass nil.
+	AppendPath(buf []int, src, dst int) []int
 	// SwitchCount is the number of switches in the topology.
 	SwitchCount() int
 	// LeakagePowerW is the static power of all switches.
@@ -119,10 +121,14 @@ func scaledLeakW(n, radix int) float64 {
 type HTree struct {
 	leaves int
 	fanout int
-	// levelBase[l] is the global switch ID of the first level-l switch;
-	// levelCount[l] is how many switches that level has.
-	levelBase  []int
-	levelCount []int
+	levels []htreeLevel // index = level, 0 = leaf switches
+}
+
+// htreeLevel describes one H-tree level: base is the global switch ID of
+// its first switch, count how many switches it has, and div is
+// fanout^(level+1), so a leaf's ancestor at this level is base + leaf/div.
+type htreeLevel struct {
+	base, count, div int
 }
 
 // NewHTree builds an H-tree over leaves blocks with the given fanout
@@ -132,18 +138,17 @@ func NewHTree(leaves, fanout int) *HTree {
 	if leaves < 1 || fanout < 2 {
 		panic(fmt.Sprintf("intercon: invalid H-tree leaves=%d fanout=%d", leaves, fanout))
 	}
-	h := &HTree{leaves: leaves, fanout: fanout}
-	n := leaves
-	base := 0
-	for n > 1 {
-		n = (n + fanout - 1) / fanout
-		h.levelBase = append(h.levelBase, base)
-		h.levelCount = append(h.levelCount, n)
-		base += n
+	depth := 1 // a single leaf still gets one (root) switch
+	for n := (leaves + fanout - 1) / fanout; n > 1; n = (n + fanout - 1) / fanout {
+		depth++
 	}
-	if len(h.levelBase) == 0 { // single leaf: degenerate, one root switch
-		h.levelBase = []int{0}
-		h.levelCount = []int{1}
+	h := &HTree{leaves: leaves, fanout: fanout, levels: make([]htreeLevel, depth)}
+	n, base, div := leaves, 0, fanout
+	for l := range h.levels {
+		n = (n + fanout - 1) / fanout
+		h.levels[l] = htreeLevel{base: base, count: n, div: div}
+		base += n
+		div *= fanout
 	}
 	return h
 }
@@ -158,8 +163,8 @@ func (h *HTree) Leaves() int { return h.leaves }
 // fanout 4 this is 64+16+4+1 = 85, matching Table 3.
 func (h *HTree) SwitchCount() int {
 	var n int
-	for _, c := range h.levelCount {
-		n += c
+	for _, lv := range h.levels {
+		n += lv.count
 	}
 	return n
 }
@@ -177,41 +182,36 @@ func (h *HTree) HopLatency() float64 { return params.SwitchHopLatencySec }
 func (h *HTree) Radix() int { return h.fanout + 1 }
 
 // EgressHops implements Topology: the tree depth (a leaf-to-root climb).
-func (h *HTree) EgressHops() int { return len(h.levelCount) }
+func (h *HTree) EgressHops() int { return len(h.levels) }
 
 // switchAt returns the global ID of the level-l ancestor switch of a leaf.
 func (h *HTree) switchAt(leaf, level int) int {
-	div := 1
-	for i := 0; i <= level; i++ {
-		div *= h.fanout
-	}
-	return h.levelBase[level] + leaf/div
+	lv := &h.levels[level]
+	return lv.base + leaf/lv.div
 }
 
-// Path implements Topology: climb from src to the lowest common ancestor,
-// then descend to dst. The Figure 3 walkthrough (Block 0 to Block 5 via
-// D0->D1->D2->D3 through S0, S1, S0') is reproduced exactly.
-func (h *HTree) Path(src, dst int) []int {
+// AppendPath implements Topology: climb from src to the lowest common
+// ancestor, then descend to dst. The Figure 3 walkthrough (Block 0 to
+// Block 5 via D0->D1->D2->D3 through S0, S1, S0') is reproduced exactly.
+func (h *HTree) AppendPath(buf []int, src, dst int) []int {
 	if src < 0 || src >= h.leaves || dst < 0 || dst >= h.leaves {
 		panic(fmt.Sprintf("intercon: leaf out of range: %d or %d (leaves=%d)", src, dst, h.leaves))
 	}
 	if src == dst {
-		return nil
+		return buf
 	}
 	// Find LCA level: lowest level where both map to the same switch.
 	lca := 0
 	for h.switchAt(src, lca) != h.switchAt(dst, lca) {
 		lca++
 	}
-	var path []int
-	for l := 0; l < lca; l++ {
-		path = append(path, h.switchAt(src, l))
+	for l := 0; l <= lca; l++ {
+		buf = append(buf, h.switchAt(src, l))
 	}
-	path = append(path, h.switchAt(src, lca))
 	for l := lca - 1; l >= 0; l-- {
-		path = append(path, h.switchAt(dst, l))
+		buf = append(buf, h.switchAt(dst, l))
 	}
-	return path
+	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -255,32 +255,23 @@ func (b *Bus) Radix() int { return b.leaves }
 // EgressHops implements Topology.
 func (b *Bus) EgressHops() int { return 1 }
 
-// Path implements Topology.
-func (b *Bus) Path(src, dst int) []int {
+// AppendPath implements Topology.
+func (b *Bus) AppendPath(buf []int, src, dst int) []int {
 	if src < 0 || src >= b.leaves || dst < 0 || dst >= b.leaves {
 		panic(fmt.Sprintf("intercon: leaf out of range: %d or %d (leaves=%d)", src, dst, b.leaves))
 	}
 	if src == dst {
-		return nil
+		return buf
 	}
-	return []int{0}
+	return append(buf, 0)
 }
 
 // ---------------------------------------------------------------------------
 // Contention-aware scheduling: estimate -> occupy -> backpressure
 // ---------------------------------------------------------------------------
 
-// Span records when one transfer occupied the interconnect.
-type Span struct {
-	Transfer Transfer
-	Start    float64
-	End      float64
-	Hops     int
-}
-
 // Schedule is the result of scheduling a batch of transfers.
 type Schedule struct {
-	Spans    []Span
 	Makespan float64 // time until the last transfer completes
 	EnergyJ  float64 // dynamic switching energy
 	Words    int64   // total words moved
@@ -292,103 +283,82 @@ type Schedule struct {
 }
 
 // Occupancy is the per-switch channel ledger of the contention loop: for
-// every switch it tracks when the switch next falls idle, and optionally
-// accumulates total busy-seconds per switch (the sweep reports' occupancy
-// histograms). One ledger prices one batch; the simulated timeline charges
-// batches sequentially exactly as before.
+// every switch id in [0, SwitchCount()) it tracks when the switch next
+// falls idle. One ledger prices one batch at a time; the simulated
+// timeline charges batches sequentially. The zero value is ready to use,
+// and a reused Occupancy schedules without allocating once its ledger and
+// route buffer have grown to the largest fabric and route it has seen. An
+// Occupancy must not be used by two goroutines at once.
 type Occupancy struct {
-	free map[int]float64
-	busy []float64 // per-switch busy seconds; nil when not tracked
+	free []float64 // free[s]: when switch s next falls idle
+	path []int     // route buffer reused across transfers
 }
 
-// NewOccupancy builds an empty ledger for a topology. busy, when non-nil,
-// must have at least t.SwitchCount() entries; Occupy accumulates each
-// switch's occupied seconds into it (across ledgers, if shared).
-func NewOccupancy(busy []float64) *Occupancy {
-	return &Occupancy{free: make(map[int]float64), busy: busy}
-}
-
-// Estimate returns the earliest start time at which every switch of the
-// path is free when the payload stream reaches it under store-and-forward
-// pipelining (the stream hits switch i at start + i*hop).
-func (o *Occupancy) Estimate(path []int, hop float64) float64 {
-	var start float64
-	for i, s := range path {
-		if t := o.free[s] - float64(i)*hop; t > start {
-			start = t
-		}
-	}
-	return start
-}
-
-// Occupy books the path: switch i is busy from start + i*hop for occupy
-// seconds. Subsequent Estimates on overlapping routes are pushed behind
-// this booking — that push is the backpressure the scheduler accounts.
-func (o *Occupancy) Occupy(path []int, hop, start, occupy float64) {
-	for i, s := range path {
-		o.free[s] = start + float64(i)*hop + occupy
-	}
-	if o.busy != nil {
-		for _, s := range path {
-			o.busy[s] += occupy
-		}
-	}
-}
-
-// ScheduleBatch schedules the transfers in order with greedy list
-// scheduling under store-and-forward pipelining: the payload stream
-// occupies switch i of its route for payloads hop-cycles starting one
-// hop-cycle after switch i-1, so a switch is released as soon as the
-// stream has passed through it. Each transfer runs one estimate -> occupy
-// round against the batch's channel ledger; a congested switch backpressures
-// later transfers (serializing them), while disjoint routes overlap fully —
-// on the bus every route shares switch 0 and therefore serializes, the
+// Schedule schedules the transfers in order with greedy list scheduling
+// under store-and-forward pipelining: the payload stream occupies switch i
+// of its route for payloads hop-cycles starting one hop-cycle after switch
+// i-1, so a switch is released as soon as the stream has passed through
+// it. Each transfer runs one estimate -> occupy round against the ledger,
+// which starts the batch empty; a congested switch backpressures later
+// transfers (serializing them), while disjoint routes overlap fully — on
+// the bus every route shares switch 0 and therefore serializes, the
 // Section 4.2.2 behaviour ("the bus switch processes these transmissions
 // sequentially").
-func ScheduleBatch(topo Topology, batch []Transfer) Schedule {
-	return ScheduleBatchBusy(topo, batch, nil)
-}
-
-// ScheduleBatchBusy is ScheduleBatch with per-switch busy-seconds
-// accumulation into busy (len >= topo.SwitchCount(); nil disables). The
-// timing math is identical — busy tracking only observes the ledger.
-func ScheduleBatchBusy(topo Topology, batch []Transfer, busy []float64) Schedule {
-	occ := NewOccupancy(busy)
+//
+// busy, when non-nil, must have at least topo.SwitchCount() entries; each
+// switch's occupied seconds are added to it (across calls, if shared). The
+// timing math is identical either way — busy only observes the ledger.
+func (o *Occupancy) Schedule(topo Topology, batch []Transfer, busy []float64) Schedule {
+	n := topo.SwitchCount()
+	if cap(o.free) < n {
+		o.free = make([]float64, n)
+	}
+	o.free = o.free[:n]
+	clear(o.free)
 	var out Schedule
-	// Per-transfer spans are kept for inspection on small batches only;
-	// large timing-mode batches (hundreds of thousands of transfers) skip
-	// them to bound memory.
-	recordSpans := len(batch) <= 4096
 	hop := topo.HopLatency()
 	for _, tr := range batch {
-		path := topo.Path(tr.Src, tr.Dst)
+		path := topo.AppendPath(o.path[:0], tr.Src, tr.Dst)
+		o.path = path
 		if len(path) == 0 {
 			continue
 		}
 		payloads := (tr.Words + params.PayloadWords - 1) / params.PayloadWords
 		occupy := float64(payloads) * hop
-		// Estimate: earliest start such that every switch i is free at
-		// start + i*hop.
-		start := occ.Estimate(path, hop)
-		// Occupy: book the route at that start.
-		occ.Occupy(path, hop, start, occupy)
+		// Estimate: earliest start such that every switch i is free when
+		// the payload stream reaches it at start + i*hop.
+		var start float64
+		for i, s := range path {
+			if t := o.free[s] - float64(i)*hop; t > start {
+				start = t
+			}
+		}
+		// Occupy: switch i is busy from start + i*hop for occupy seconds.
+		for i, s := range path {
+			o.free[s] = start + float64(i)*hop + occupy
+			if busy != nil {
+				busy[s] += occupy
+			}
+		}
 		// Backpressure: any push past immediate injection means a busy
 		// switch serialized this transfer behind an earlier one.
 		if start > 0 {
 			out.Backpressured++
 			out.BackpressureSec += start
 		}
-		end := start + float64(len(path)-1)*hop + occupy
-		if recordSpans {
-			out.Spans = append(out.Spans, Span{Transfer: tr, Start: start, End: end, Hops: len(path)})
-		}
-		if end > out.Makespan {
+		if end := start + float64(len(path)-1)*hop + occupy; end > out.Makespan {
 			out.Makespan = end
 		}
 		out.EnergyJ += float64(tr.Words*len(path)) * params.SwitchHopEnergyJ
 		out.Words += int64(tr.Words)
 	}
 	return out
+}
+
+// ScheduleBatch prices one batch on a fresh ledger; see
+// (*Occupancy).Schedule.
+func ScheduleBatch(topo Topology, batch []Transfer) Schedule {
+	return new(Occupancy).Schedule(topo, batch, nil)
 }
 
 // FilterMasked partitions a batch for a topology with masked-off (failed

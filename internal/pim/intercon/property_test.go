@@ -149,7 +149,8 @@ func TestBusMakespanIsSerialSum(t *testing.T) {
 // that leave a partial switch group or grid row), every pair of distinct
 // leaves is routable: the path is non-empty, every switch ID is in range,
 // no switch repeats consecutively, and the route length is symmetric
-// (len Path(a,b) == len Path(b,a) under deterministic minimal routing).
+// (len AppendPath(nil,a,b) == len AppendPath(nil,b,a) under deterministic
+// minimal routing).
 func TestPathValidityAllTopologies(t *testing.T) {
 	for _, leaves := range []int{16, 64, 72, 100, 256} {
 		for _, topo := range allTopos(t, leaves) {
@@ -157,29 +158,29 @@ func TestPathValidityAllTopologies(t *testing.T) {
 			maxLen := n // a minimal deterministic route never revisits the fabric
 			r := rand.New(rand.NewSource(int64(leaves)))
 			check := func(src, dst int) {
-				p := topo.Path(src, dst)
-				q := topo.Path(dst, src)
+				p := topo.AppendPath(nil, src, dst)
+				q := topo.AppendPath(nil, dst, src)
 				if src == dst {
 					if len(p) != 0 {
-						t.Fatalf("%s/%d: Path(%d,%d) = %v, want empty", topo.Name(), leaves, src, dst, p)
+						t.Fatalf("%s/%d: AppendPath(nil,%d,%d) = %v, want empty", topo.Name(), leaves, src, dst, p)
 					}
 					return
 				}
 				if len(p) == 0 {
-					t.Fatalf("%s/%d: Path(%d,%d) unreachable", topo.Name(), leaves, src, dst)
+					t.Fatalf("%s/%d: AppendPath(nil,%d,%d) unreachable", topo.Name(), leaves, src, dst)
 				}
 				if len(p) > maxLen {
-					t.Fatalf("%s/%d: Path(%d,%d) = %d switches > %d", topo.Name(), leaves, src, dst, len(p), maxLen)
+					t.Fatalf("%s/%d: AppendPath(nil,%d,%d) = %d switches > %d", topo.Name(), leaves, src, dst, len(p), maxLen)
 				}
 				if len(p) != len(q) {
 					t.Fatalf("%s/%d: asymmetric route %d<->%d: %v vs %v", topo.Name(), leaves, src, dst, p, q)
 				}
 				for i, s := range p {
 					if s < 0 || s >= n {
-						t.Fatalf("%s/%d: Path(%d,%d) switch %d out of range [0,%d)", topo.Name(), leaves, src, dst, s, n)
+						t.Fatalf("%s/%d: AppendPath(nil,%d,%d) switch %d out of range [0,%d)", topo.Name(), leaves, src, dst, s, n)
 					}
 					if i > 0 && p[i-1] == s {
-						t.Fatalf("%s/%d: Path(%d,%d) repeats switch %d: %v", topo.Name(), leaves, src, dst, s, p)
+						t.Fatalf("%s/%d: AppendPath(nil,%d,%d) repeats switch %d: %v", topo.Name(), leaves, src, dst, s, p)
 					}
 				}
 			}
@@ -234,7 +235,7 @@ func TestHTreePathLengthBounds(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		p := h.Path(src, dst)
+		p := h.AppendPath(nil, src, dst)
 		if len(p) < 1 || len(p) > maxLen {
 			return false
 		}

@@ -138,6 +138,18 @@ type Engine struct {
 	chipSwitchBusy      []float64
 	xferBackpressured   int64
 	xferBackpressureSec float64
+
+	// ExecTransfers scratch, reused across calls so the contention loop
+	// runs without allocating: the batch indices of the intra-tile
+	// transfers grouped by tile (int32 keeps the largest batches' index at
+	// a sixth of a copied Transfer), each tile's group end in it, the
+	// batch of the tile being scheduled, the cross-tile batch, and one
+	// ledger each for the tile fabric and the chip-level network.
+	tileOrder        []int32
+	tileEnd          []int
+	tileBatch        []intercon.Transfer
+	crossBatch       []intercon.Transfer
+	tileOcc, chipOcc intercon.Occupancy
 }
 
 // InterconReport is the run-level congestion summary of the interconnect:
@@ -883,7 +895,7 @@ func (e *Engine) transferCost(src, dst int, words int) (sec, joules float64) {
 func (e *Engine) routeHops(src, dst int) int {
 	st, dt := e.Chip.TileOf(src), e.Chip.TileOf(dst)
 	if st == dt {
-		return len(e.Chip.Topology(st).Path(e.Chip.LocalID(src), e.Chip.LocalID(dst)))
+		return len(e.Chip.Topology(st).AppendPath(nil, e.Chip.LocalID(src), e.Chip.LocalID(dst)))
 	}
 	depth := e.Chip.Topology(st).EgressHops()
 	return 2*depth + 1 // up the source tile, across the chip router, down the destination tile
@@ -894,9 +906,18 @@ func (e *Engine) routeHops(src, dst int) int {
 // tiles overlap; cross-tile transfers are scheduled on the chip-level
 // H-tree over tiles (disjoint tile subtrees overlap, shared routes
 // contend). Functional mode also moves the words.
+//
+// ExecTransfers does not retain trs. It batches into engine-owned scratch,
+// so it must not be called concurrently on one Engine.
 func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
-	perTile := make(map[int][]intercon.Transfer)
-	var cross []intercon.Transfer
+	// First pass: count each tile's intra-tile transfers into tileEnd and
+	// collect the cross-tile batch.
+	if nt := e.Chip.Config.NumTiles(); len(e.tileEnd) != nt {
+		e.tileEnd = make([]int, nt)
+	} else {
+		clear(e.tileEnd)
+	}
+	cross := e.crossBatch[:0]
 	var crossEndpoints float64
 	var obsWords int64
 	for _, tr := range trs {
@@ -904,8 +925,7 @@ func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
 		obsWords += int64(tr.Words)
 		st, dt := e.Chip.TileOf(tr.SrcBlock), e.Chip.TileOf(tr.DstBlock)
 		if st == dt {
-			perTile[st] = append(perTile[st], intercon.Transfer{
-				Src: e.Chip.LocalID(tr.SrcBlock), Dst: e.Chip.LocalID(tr.DstBlock), Words: tr.Words})
+			e.tileEnd[st]++
 		} else {
 			cross = append(cross, intercon.Transfer{Src: st, Dst: dt, Words: tr.Words})
 			// The legs inside the two tiles (leaf to tile gateway and back).
@@ -916,21 +936,48 @@ func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
 			e.moveWords(tr)
 		}
 	}
-	// Visit tiles in sorted order: the float energy accumulation must not
-	// depend on map iteration order, or seeded runs stop being
-	// byte-reproducible.
-	tiles := make([]int, 0, len(perTile))
-	for tile := range perTile {
-		tiles = append(tiles, tile)
+	e.crossBatch = cross
+	// Second pass: turn the counts into group starts and place every
+	// intra-tile transfer's index in its tile's group, keeping batch order
+	// within a tile. Each tileEnd[t] ends at the end of tile t's group.
+	n := 0
+	for t, c := range e.tileEnd {
+		e.tileEnd[t] = n
+		n += c
 	}
-	sort.Ints(tiles)
+	if cap(e.tileOrder) < n {
+		e.tileOrder = make([]int32, n)
+	}
+	order := e.tileOrder[:n]
+	for i, tr := range trs {
+		if st := e.Chip.TileOf(tr.SrcBlock); st == e.Chip.TileOf(tr.DstBlock) {
+			order[e.tileEnd[st]] = int32(i)
+			e.tileEnd[st]++
+		}
+	}
+	// Visit tiles in ascending order: the float energy accumulation must
+	// not depend on which tiles were touched first, or seeded runs stop
+	// being byte-reproducible.
 	var dur, energy float64
-	for _, tile := range tiles {
+	start := 0
+	for tile, end := range e.tileEnd {
+		group := order[start:end]
+		start = end
+		if len(group) == 0 {
+			continue
+		}
+		batch := e.tileBatch[:0]
+		for _, i := range group {
+			tr := &trs[i]
+			batch = append(batch, intercon.Transfer{
+				Src: e.Chip.LocalID(tr.SrcBlock), Dst: e.Chip.LocalID(tr.DstBlock), Words: tr.Words})
+		}
+		e.tileBatch = batch
 		topo := e.Chip.Topology(tile)
 		if e.tileSwitchBusy == nil {
 			e.tileSwitchBusy = make([]float64, topo.SwitchCount())
 		}
-		s := intercon.ScheduleBatchBusy(topo, perTile[tile], e.tileSwitchBusy)
+		s := e.tileOcc.Schedule(topo, batch, e.tileSwitchBusy)
 		e.xferBackpressured += int64(s.Backpressured)
 		e.xferBackpressureSec += s.BackpressureSec
 		if s.Makespan > dur {
@@ -942,7 +989,7 @@ func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
 		if e.chipSwitchBusy == nil {
 			e.chipSwitchBusy = make([]float64, e.chipTree.SwitchCount())
 		}
-		s := intercon.ScheduleBatchBusy(e.chipTree, cross, e.chipSwitchBusy)
+		s := e.chipOcc.Schedule(e.chipTree, cross, e.chipSwitchBusy)
 		e.xferBackpressured += int64(s.Backpressured)
 		e.xferBackpressureSec += s.BackpressureSec
 		// Tile-internal legs of cross-tile routes add energy and latency.

@@ -1,6 +1,8 @@
 package wavepim
 
 import (
+	"slices"
+
 	"wavepim/internal/dg"
 	"wavepim/internal/dg/opcount"
 	"wavepim/internal/mesh"
@@ -117,6 +119,10 @@ type runner struct {
 
 	bd Breakdown
 	tl []StagePhase
+
+	// xfers is the transfer list pairTransfers/fetchTransfers build into,
+	// reused across calls: ExecTransfers copies what it needs.
+	xfers []sim.RowTransfer
 }
 
 func newRunner(plan Plan, opt Options) *runner {
@@ -196,9 +202,10 @@ func (r *runner) neighborSlot(ex, ey, ez int, f int) int {
 }
 
 // pairTransfers builds aggregated element-local transfers: for every batch
-// element, move words from slot+srcOff to slot+dstOff.
+// element, move words from slot+srcOff to slot+dstOff. The result is valid
+// until the next pairTransfers/fetchTransfers call.
 func (r *runner) pairTransfers(pairs [][3]int) []sim.RowTransfer {
-	out := make([]sim.RowTransfer, 0, len(pairs)*r.elems)
+	out := slices.Grow(r.xfers[:0], len(pairs)*r.elems)
 	r.forEachElem(func(ex, ey, ez int) {
 		base := r.slotOf(ex, ey, ez)
 		for _, p := range pairs {
@@ -206,13 +213,15 @@ func (r *runner) pairTransfers(pairs [][3]int) []sim.RowTransfer {
 				SrcBlock: base + p[0], DstBlock: base + p[1], Words: p[2]})
 		}
 	})
+	r.xfers = out
 	return out
 }
 
 // fetchTransfers builds the neighbor fetches of one face: per element,
 // move words from the neighbor's slot+srcOff to this element's slot+dstOff.
+// The result is valid until the next pairTransfers/fetchTransfers call.
 func (r *runner) fetchTransfers(face int, pairs [][3]int) []sim.RowTransfer {
-	out := make([]sim.RowTransfer, 0, len(pairs)*r.elems)
+	out := slices.Grow(r.xfers[:0], len(pairs)*r.elems)
 	r.forEachElem(func(ex, ey, ez int) {
 		me := r.slotOf(ex, ey, ez)
 		nb := r.neighborSlot(ex, ey, ez, face)
@@ -221,6 +230,7 @@ func (r *runner) fetchTransfers(face int, pairs [][3]int) []sim.RowTransfer {
 				SrcBlock: nb + p[0], DstBlock: me + p[1], Words: p[2]})
 		}
 	})
+	r.xfers = out
 	return out
 }
 
